@@ -1006,7 +1006,7 @@ let replay_table ~timings () =
       max !max_jump_cost (Replay.Session.replayed_steps session - before);
     if
       not
-        (Explore.Stepper.equal_state states.(n)
+        (Explore.Stepper.Node.equal states.(n)
            (Replay.Session.state session))
     then equal_everywhere := false
   done;

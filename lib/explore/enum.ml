@@ -1,7 +1,7 @@
 module TidMap = Ps.Machine.TidMap
 module L = Stats.Local
 
-type discipline = Interleaving | Non_preemptive
+type discipline = Stepper.discipline = Interleaving | Non_preemptive
 
 type completeness = Exhaustive | Truncated of Errors.reason list
 
@@ -20,52 +20,7 @@ let pp_discipline ppf = function
   | Interleaving -> Format.pp_print_string ppf "interleaving"
   | Non_preemptive -> Format.pp_print_string ppf "non-preemptive"
 
-(* A search node: machine world, switch bit (always [true] under the
-   interleaving discipline) and per-thread promise budget spent. *)
-module Node = struct
-  type t = {
-    world : Ps.Machine.world;
-    bit : bool;
-    promised : int TidMap.t;
-    (* Memoized structural hash, 0 = not yet computed.  Hashing a node
-       walks the entire world (every thread's views plus the whole
-       memory), so it is far too expensive to redo on every table
-       probe — and published cache entries carry their hash to the
-       absorbing domain for free.  The unsynchronized write is benign:
-       every racing writer stores the same value. *)
-    mutable hv : int;
-  }
-
-  let make ~world ~bit ~promised = { world; bit; promised; hv = 0 }
-
-  let compare a b =
-    let c = Ps.Machine.compare a.world b.world in
-    if c <> 0 then c
-    else
-      let c = Bool.compare a.bit b.bit in
-      if c <> 0 then c else TidMap.compare Int.compare a.promised b.promised
-
-  let equal a b = a == b || compare a b = 0
-
-  let hash n =
-    if n.hv <> 0 then n.hv
-    else begin
-      let promised =
-        TidMap.fold
-          (fun tid k h -> Rat.hash_combine (Rat.hash_combine h tid) k)
-          n.promised 0x6e6f
-      in
-      let h =
-        Rat.hash_combine
-          (Rat.hash_combine (Ps.Machine.hash n.world) (Bool.to_int n.bit))
-          promised
-      in
-      let h = if h = 0 then 0x6e6f else h in
-      n.hv <- h;
-      h
-    end
-end
-
+module Node = Stepper.Node
 module NodeTbl = Hashtbl.Make (Node)
 
 (* Certification-cache key: the certified configuration.  The verdict
@@ -96,9 +51,6 @@ module CertKey = struct
 end
 
 module CertTbl = Hashtbl.Make (CertKey)
-
-(* One successor: the output emitted (if any) and the next node. *)
-type succ = { emit : Lang.Ast.value option; next : Node.t }
 
 (* State shared by every worker domain of one search.
 
@@ -140,8 +92,8 @@ type red = {
 }
 
 type search = {
-  code : Lang.Ast.code;
-  atomics : Lang.Ast.VarSet.t;
+  program : Lang.Ast.program;
+  plain : Stepper.hooks;  (* uncached certification *)
   disc : discipline;
   cfg : Config.t;
   red : red;
@@ -182,6 +134,7 @@ type worker = {
   mutable cert_mark : (CertKey.t * bool) Pool.Chan.mark;
   mutable cand_mark : (CertKey.t * (Lang.Ast.var * Lang.Ast.value) list) Pool.Chan.mark;
   mutable memo_mark : (Node.t * (Traceset.t * int)) Pool.Chan.mark;
+  hooks : Stepper.hooks;  (* [consistent] and [promise_candidates] *)
 }
 
 let fault_threshold rate =
@@ -371,13 +324,13 @@ let compute_red code threads (cfg : Config.t) =
       private_vars;
     }
 
-let make_search ~threads code atomics disc cfg =
+let make_search (program : Lang.Ast.program) disc cfg =
   {
-    code;
-    atomics;
+    program;
+    plain = Stepper.plain ~config:cfg ~program;
     disc;
     cfg;
-    red = compute_red code threads cfg;
+    red = compute_red program.Lang.Ast.code program.Lang.Ast.threads cfg;
     stats = Stats.create ();
     memo_merged = NodeTbl.create 1024;
     cert_merged = CertTbl.create 1024;
@@ -400,26 +353,6 @@ let make_search ~threads code atomics disc cfg =
       (match cfg.Config.max_nodes with
       | Some _ -> Some (Atomic.make 0)
       | None -> None);
-  }
-
-let make_worker ~id ~parallel s =
-  {
-    s;
-    id;
-    parallel;
-    ls = L.create ();
-    memo = NodeTbl.create 1024;
-    cert_cache = CertTbl.create 1024;
-    cand_cache = CertTbl.create 256;
-    on_stack = NodeTbl.create 256;
-    tick = 0;
-    pub_pending = 0;
-    pub_cert = [];
-    pub_cand = [];
-    pub_memo = [];
-    cert_mark = Pool.Chan.genesis;
-    cand_mark = Pool.Chan.genesis;
-    memo_mark = Pool.Chan.genesis;
   }
 
 (* Symmetry canonicalization (docs/REDUCTION.md): permute the thread
@@ -607,9 +540,7 @@ let cert_hist =
 
 let run_cert s ts mem =
   Obs.Trace.span ~cat:"explore" "certify" (fun () ->
-      Obs.Metrics.time cert_hist (fun () ->
-          Ps.Cert.consistent ~fuel:s.cfg.Config.cert_fuel
-            ~cap:s.cfg.Config.cap_certification ~code:s.code ts mem))
+      Obs.Metrics.time cert_hist (fun () -> s.plain.Stepper.consistent ts mem))
 
 (* Exact certification accounting: every call bumps [cert_checks] and
    then exactly one of [cert_faults] / [cert_trivial] /
@@ -658,141 +589,110 @@ let consistent w ts mem =
 
 let promise_candidates w ts mem =
   let s = w.s in
-  match s.cfg.Config.promise_mode with
-  | Config.No_promises -> []
-  | mode -> (
-      let key = CertKey.make ts mem in
-      if s.fault <> None && fault_fires s (CertKey.hash key) salt_cand then begin
-        (* Candidate discovery killed by an injected fault: no promise
-           successors from here — behaviours shrink, never grow. *)
-        w.ls.L.faults_injected <- w.ls.L.faults_injected + 1;
-        []
-      end
+  let mode = s.cfg.Config.promise_mode in
+  if mode = Config.No_promises then []
+  else
+    let key = CertKey.make ts mem in
+    if s.fault <> None && fault_fires s (CertKey.hash key) salt_cand then begin
+      (* Candidate discovery killed by an injected fault: no promise
+         successors from here — behaviours shrink, never grow. *)
+      w.ls.L.faults_injected <- w.ls.L.faults_injected + 1;
+      []
+    end
+    else if mode = Config.Syntactic then s.plain.Stepper.candidates ts mem
+    else
+      (* Semantic candidate discovery is the other certification
+         search, run for every node with promise budget left; like the
+         verdicts it is a pure function of the configuration, so it
+         shares the cache discipline (hits are counted separately in
+         [cand_cache_hits]). *)
+      let compute () =
+        Obs.Trace.span ~cat:"explore" "candidates" (fun () ->
+            s.plain.Stepper.candidates ts mem)
+      in
+      if not s.cfg.Config.cert_cache then compute ()
       else
-        match mode with
-        | Config.No_promises -> assert false
-        | Config.Syntactic -> Ps.Thread.writes_in_code ~code:s.code ts
-        | Config.Semantic -> (
-            (* Candidate discovery is the other certification search,
-               run for every node with promise budget left; like the
-               verdicts it is a pure function of the configuration, so
-               it shares the cache discipline (hits are counted
-               separately in [cand_cache_hits]). *)
-            let compute () =
-              Obs.Trace.span ~cat:"explore" "candidates" (fun () ->
-                  Ps.Cert.certifiable_writes ~fuel:s.cfg.Config.cert_fuel
-                    ~code:s.code ts mem)
-            in
-            if not s.cfg.Config.cert_cache then compute ()
-            else
-              match CertTbl.find_opt w.cand_cache key with
-              | Some cands ->
-                  w.ls.L.cand_cache_hits <- w.ls.L.cand_cache_hits + 1;
-                  cands
-              | None ->
-                  let cands = compute () in
-                  CertTbl.replace w.cand_cache key cands;
-                  if w.parallel then begin
-                    w.pub_cand <- (key, cands) :: w.pub_cand;
-                    queued w
-                  end;
-                  cands))
+        match CertTbl.find_opt w.cand_cache key with
+        | Some cands ->
+            w.ls.L.cand_cache_hits <- w.ls.L.cand_cache_hits + 1;
+            cands
+        | None ->
+            let cands = compute () in
+            CertTbl.replace w.cand_cache key cands;
+            if w.parallel then begin
+              w.pub_cand <- (key, cands) :: w.pub_cand;
+              queued w
+            end;
+            cands
 
-let successors w (n : Node.t) : succ list =
+(* A worker runs the step relation with its own cached, counting and
+   fault-injecting certification. *)
+let make_worker ~id ~parallel s =
+  let rec w =
+    {
+      s;
+      id;
+      parallel;
+      ls = L.create ();
+      memo = NodeTbl.create 1024;
+      cert_cache = CertTbl.create 1024;
+      cand_cache = CertTbl.create 256;
+      on_stack = NodeTbl.create 256;
+      tick = 0;
+      pub_pending = 0;
+      pub_cert = [];
+      pub_cand = [];
+      pub_memo = [];
+      cert_mark = Pool.Chan.genesis;
+      cand_mark = Pool.Chan.genesis;
+      memo_mark = Pool.Chan.genesis;
+      hooks =
+        {
+          Stepper.consistent = (fun ts mem -> consistent w ts mem);
+          candidates = (fun ts mem -> promise_candidates w ts mem);
+        };
+    }
+  in
+  w
+
+(* The shared machine-step relation ({!Stepper}) under the worker's
+   hooks, plus the strict-promise accounting and the two partial-order
+   rules. *)
+let successors w (n : Node.t) : Stepper.succ list =
   let s = w.s in
+  let cfg = s.cfg in
   let wd = n.world in
   let ts = Ps.Machine.cur_ts wd in
   let mem = wd.Ps.Machine.mem in
-  let promised_cur =
-    match TidMap.find_opt wd.Ps.Machine.cur n.promised with
-    | Some k -> k
-    | None -> 0
-  in
   (* The current thread's consistency gates outputs and switches; it
      is cheap when the thread has no promises. *)
   let committed = lazy (consistent w ts mem) in
-  let bit_after te =
-    match s.disc with
-    | Interleaving -> Some true
-    | Non_preemptive -> Npsem.bit_after te ~before:n.bit
+  (* Under [strict_promises] (forced by [reduction.bound_promises]), a
+     nonempty candidate set suppressed purely by the promise budget
+     counts as truncation (a conservative over-approximation: the
+     candidates are not re-certified here, so this can only push
+     verdicts toward inconclusive, never toward a claim). *)
+  let bounded = cfg.Config.reduction.Config.bound_promises <> None in
+  if
+    (cfg.Config.strict_promises || bounded)
+    && Stepper.promise_spent ~config:cfg s.disc n
+    && promise_candidates w ts mem <> []
+  then begin
+    w.ls.L.promise_budget_hits <- w.ls.L.promise_budget_hits + 1;
+    if bounded then w.ls.L.promise_bound_hits <- w.ls.L.promise_bound_hits + 1
+  end;
+  let local =
+    Stepper.local_successors w.hooks ~config:cfg ~discipline:s.disc
+      ~program:s.program ~committed n
   in
-  let lift (step : Ps.Thread.step) : succ option =
-    match bit_after step.Ps.Thread.event with
-    | None -> None
-    | Some bit -> (
-        let world = Ps.Machine.set_cur_ts wd step.Ps.Thread.ts step.Ps.Thread.mem in
-        let next = Node.make ~world ~bit ~promised:n.Node.promised in
-        match step.Ps.Thread.event with
-        | Ps.Event.Out v ->
-            if Lazy.force committed then Some { emit = Some v; next } else None
-        | _ -> Some { emit = None; next })
-  in
-  let regular = List.filter_map lift (Ps.Thread.steps ~code:s.code ts mem) in
-  let promises =
-    (* [reduction.bound_promises] overrides [max_promises] and forces
-       strict reporting: the bounded-promise mode is exhaustive for
-       the bound and honestly [Truncated [Promise_budget]] above it. *)
-    let bound = s.cfg.Config.reduction.Config.bound_promises in
-    let max_promises =
-      match bound with Some k -> k | None -> s.cfg.Config.max_promises
-    in
-    let budget_left = promised_cur < max_promises in
-    let sched_ok =
-      (match s.disc with Interleaving -> true | Non_preemptive -> n.bit)
-      && not (Ps.Local.is_finished ts.Ps.Thread.local)
-    in
-    if not (budget_left && sched_ok) then begin
-      (* Under [strict_promises], a nonempty candidate set suppressed
-         purely by the promise budget counts as truncation (a
-         conservative over-approximation: the candidates are not
-         re-certified here, so this can only push verdicts toward
-         inconclusive, never toward a claim). *)
-      let strict = s.cfg.Config.strict_promises || bound <> None in
-      if strict && sched_ok && not budget_left then
-        if promise_candidates w ts mem <> [] then begin
-          w.ls.L.promise_budget_hits <- w.ls.L.promise_budget_hits + 1;
-          if bound <> None then
-            w.ls.L.promise_bound_hits <- w.ls.L.promise_bound_hits + 1
-        end;
-      []
-    end
-    else
-      let candidates = promise_candidates w ts mem in
-      Ps.Thread.promise_steps ~candidates ~atomics:s.atomics ts mem
-      |> List.filter_map (fun (step : Ps.Thread.step) ->
-             (* A promise must remain certifiable with the chosen
-                slot; pruning inconsistent promise placements is sound
-                because a τ machine step must end consistent. *)
-             if consistent w step.Ps.Thread.ts step.Ps.Thread.mem then (
-               w.ls.L.promises <- w.ls.L.promises + 1;
-               let world =
-                 Ps.Machine.set_cur_ts wd step.Ps.Thread.ts step.Ps.Thread.mem
-               in
-               let promised =
-                 TidMap.add wd.Ps.Machine.cur (promised_cur + 1) n.promised
-               in
-               Some
-                 { emit = None; next = Node.make ~world ~bit:n.Node.bit ~promised })
-             else None)
-  in
-  let reservations =
-    if not s.cfg.Config.reservations then []
-    else
-      let rsv_allowed =
-        (match s.disc with Interleaving -> true | Non_preemptive -> n.bit)
-        (* one outstanding reservation per thread: reserve/cancel
-           cycles otherwise defeat memoization (every cycle member is
-           taint-excluded) and blow up the search *)
-        && List.for_all
-             (fun m -> not (Ps.Message.is_reservation m))
-             ts.Ps.Thread.prm
-      in
-      let rsvs =
-        if rsv_allowed then Ps.Thread.reserve_steps ts mem else []
-      in
-      let ccls = Ps.Thread.cancel_steps ts mem in
-      List.filter_map lift (rsvs @ ccls)
-  in
+  let regular = ref 0 in
+  List.iter
+    (fun (sc : Stepper.succ) ->
+      match sc.Stepper.kind with
+      | Stepper.Thread_step -> incr regular
+      | Stepper.Promise_step -> w.ls.L.promises <- w.ls.L.promises + 1
+      | Stepper.Reservation_step | Stepper.Switch_step -> ())
+    local;
   (* Ample-set rule of the partial-order reduction
      (docs/REDUCTION.md): when the current thread's only regular move
      is a deterministic in-block step that every other thread's step
@@ -813,7 +713,7 @@ let successors w (n : Node.t) : succ list =
      private location, so deferring their switch past it changes
      nothing they can observe. *)
   let ample =
-    s.red.por
+    s.red.por && !regular = 1
     && (match Ps.Local.nxt ts.Ps.Thread.local with
        | Ps.Local.NInstr (Lang.Ast.Assign _ | Lang.Ast.Skip) -> true
        | Ps.Local.NInstr
@@ -825,95 +725,54 @@ let successors w (n : Node.t) : succ list =
            && Lang.Ast.VarSet.mem v s.red.private_vars.(tid)
        | _ -> false)
     &&
-    match regular with
-    | [ { emit = None; next } ] -> next.Node.bit = n.Node.bit
+    match local with
+    | { Stepper.kind = Stepper.Thread_step; state; _ } :: _ ->
+        state.Node.bit = n.Node.bit
     | _ -> false
   in
   let switches =
     if ample then begin
-      (* Count what the unreduced enumeration would have offered (the
-         other unfinished threads) without paying its certification
-         gate — skipping that check is part of the win on cert-heavy
-         workloads. *)
-      let may =
-        match s.disc with Interleaving -> true | Non_preemptive -> n.bit
+      (* Count what the unreduced enumeration would have offered
+         without paying its certification gate — skipping that check
+         is part of the win on cert-heavy workloads. *)
+      let skipped =
+        Stepper.switch_successors ~discipline:s.disc ~committed:(lazy true) n
       in
-      if may then begin
-        let k =
-          TidMap.fold
-            (fun tid ts' k ->
-              if
-                tid <> wd.Ps.Machine.cur
-                && not (Ps.Local.is_finished ts'.Ps.Thread.local)
-              then k + 1
-              else k)
-            wd.Ps.Machine.tp 0
-        in
-        w.ls.L.persistent_prunes <- w.ls.L.persistent_prunes + k
-      end;
+      w.ls.L.persistent_prunes <-
+        w.ls.L.persistent_prunes + List.length skipped;
       []
     end
     else
-      let may =
-        (match s.disc with
-        | Interleaving -> true
-        | Non_preemptive ->
-            (* The switch bit guards blocks of non-atomic accesses; a
-               finished thread has no block in progress, so the machine
-               may always move on from it. *)
-            n.bit || Ps.Local.is_finished ts.Ps.Thread.local)
-        && Lazy.force committed
-      in
-      if not may then []
-      else
-        let all =
-          TidMap.fold
-            (fun tid ts' acc ->
-              if
-                tid <> wd.Ps.Machine.cur
-                && not (Ps.Local.is_finished ts'.Ps.Thread.local)
-              then
-                {
-                  emit = None;
-                  next =
-                    Node.make
-                      ~world:(Ps.Machine.switch wd tid)
-                      ~bit:true ~promised:n.Node.promised;
-                }
-                :: acc
-              else acc)
-            wd.Ps.Machine.tp []
+      let all = Stepper.switch_successors ~discipline:s.disc ~committed n in
+      if not s.red.por then all
+      else begin
+        (* Symmetric-sibling rule: switch targets running the same
+           program (same symmetry class) whose thread record (state up
+           to the root fname + spent promise budget) is equal head
+           isomorphic subtrees (the swap permutation fixes everything
+           else in the node); keep the first of each group.  Gated on
+           the involved threads running acyclic (DAG, Call-free)
+           programs — with loops, the pruned subtree's isomorphic image
+           can collide with a raw on-stack ancestor its kept sibling
+           missed (docs/REDUCTION.md). *)
+        let acyclic_ok tid =
+          tid < Array.length s.red.acyclic && s.red.acyclic.(tid)
         in
-        if not s.red.por then all
-        else begin
-          (* Symmetric-sibling rule: switch targets running the same
-             program (same symmetry class) whose thread record
-             (state up to the root fname + spent promise budget) is
-             equal head isomorphic subtrees (the swap permutation
-             fixes everything else in the node); keep the first of
-             each group.  Gated on the involved threads running
-             acyclic (DAG, Call-free) programs — with loops, the
-             pruned subtree's isomorphic image can collide with a raw
-             on-stack ancestor its kept sibling missed
-             (docs/REDUCTION.md). *)
-          let acyclic_ok tid =
-            tid < Array.length s.red.acyclic && s.red.acyclic.(tid)
-          in
-          let cls tid =
-            if tid < Array.length s.red.class_of then s.red.class_of.(tid)
-            else -1
-          in
-          let prom tid =
-            match TidMap.find_opt tid n.Node.promised with
-            | Some k -> k
-            | None -> 0
-          in
-          let kept = ref [] in
-          let out = ref [] in
-          let dropped = ref 0 in
-          List.iter
-            (fun (sw : succ) ->
-              let tid = sw.next.Node.world.Ps.Machine.cur in
+        let cls tid =
+          if tid < Array.length s.red.class_of then s.red.class_of.(tid)
+          else -1
+        in
+        let prom tid =
+          match TidMap.find_opt tid n.Node.promised with
+          | Some k -> k
+          | None -> 0
+        in
+        let kept = ref [] in
+        let dropped = ref 0 in
+        let out =
+          List.filter
+            (fun (sw : Stepper.succ) ->
+              let tid = sw.Stepper.tid in
               let ts' = TidMap.find tid wd.Ps.Machine.tp in
               let dup =
                 acyclic_ok tid && cls tid >= 0
@@ -927,16 +786,15 @@ let successors w (n : Node.t) : succ list =
                      !kept
               in
               if dup then incr dropped
-              else begin
-                kept := (tid, ts', prom tid) :: !kept;
-                out := sw :: !out
-              end)
-            all;
-          w.ls.L.sleep_prunes <- w.ls.L.sleep_prunes + !dropped;
-          List.rev !out
-        end
+              else kept := (tid, ts', prom tid) :: !kept;
+              not dup)
+            all
+        in
+        w.ls.L.sleep_prunes <- w.ls.L.sleep_prunes + !dropped;
+        out
+      end
   in
-  regular @ promises @ reservations @ switches
+  match switches with [] -> local | _ -> local @ switches
 
 (* ------------------------------------------------------------------ *)
 (* The engine: an explicit-stack depth-first walk with work stealing
@@ -1002,7 +860,7 @@ type sframe = {
   fn : Node.t;
   fdepth : int;
   femit : Lang.Ast.value option;  (* edge label from the parent frame *)
-  fsuccs : succ array;
+  fsuccs : Stepper.succ array;
   mutable fnext : int;
   mutable facc : Traceset.t;
   mutable ftaint : int;
@@ -1038,7 +896,7 @@ let memo_store w n entry =
    the order the decisions must replicate at every [j]. *)
 type entered =
   | Done of (Traceset.t * int * int)
-  | Expand of succ array * Traceset.t
+  | Expand of Stepper.succ array * Traceset.t
 
 let enter w (n : Node.t) depth : entered =
   let s = w.s in
@@ -1194,7 +1052,7 @@ let exec w sd (task : task) =
         let jslots = Array.make k None in
         if child = 1 then jemits.(0) <- frames.(i + 1).femit;
         for r = 0 to rem - 1 do
-          jemits.(child + r) <- f.fsuccs.(f.fnext + r).emit
+          jemits.(child + r) <- Stepper.emit f.fsuccs.(f.fnext + r)
         done;
         let jf =
           {
@@ -1212,7 +1070,7 @@ let exec w sd (task : task) =
         for r = 0 to rem - 1 do
           tasks :=
             {
-              tn = f.fsuccs.(f.fnext + r).next;
+              tn = f.fsuccs.(f.fnext + r).Stepper.state;
               tdepth = f.fdepth + 1;
               ttarget = Slot (jf, child + r);
             }
@@ -1246,9 +1104,10 @@ let exec w sd (task : task) =
           if f.fnext < Array.length f.fsuccs then
             if want_split () then convert ()
             else begin
-              let { emit; next } = f.fsuccs.(f.fnext) in
+              let sc = f.fsuccs.(f.fnext) in
+              let emit = Stepper.emit sc in
               f.fnext <- f.fnext + 1;
-              (match start next (f.fdepth + 1) emit with
+              (match start sc.Stepper.state (f.fdepth + 1) emit with
               | Some r -> merge f r emit
               | None -> ());
               loop ()
@@ -1429,14 +1288,10 @@ let record_domains s used =
     (Domain.recommended_domain_count ())
 
 let behaviors ?(config = Config.default) disc (p : Lang.Ast.program) =
-  match Ps.Machine.init p with
+  match Stepper.init p with
   | Error e -> Error e
-  | Ok world ->
-      let s =
-        make_search ~threads:p.Lang.Ast.threads p.Lang.Ast.code
-          p.Lang.Ast.atomics disc config
-      in
-      let root = Node.make ~world ~bit:true ~promised:TidMap.empty in
+  | Ok root ->
+      let s = make_search p disc config in
       let j = effective_domains config in
       record_domains s j;
       let traces =
@@ -1466,13 +1321,10 @@ let iter_reachable ?(config = Config.default) disc (p : Lang.Ast.program) ~f =
      state: reduction prunes states that are redundant for tracesets
      but not for per-state predicates, so it is forced off here. *)
   let config = { config with Config.reduction = Config.no_reduction } in
-  match Ps.Machine.init p with
+  match Stepper.init p with
   | Error e -> Error e
-  | Ok world ->
-      let s =
-        make_search ~threads:p.Lang.Ast.threads p.Lang.Ast.code
-          p.Lang.Ast.atomics disc config
-      in
+  | Ok root ->
+      let s = make_search p disc config in
       (* The reachability walk streams states to [f] in visit order,
          so it stays single-domain; [Race.check_all] parallelizes at
          the granularity of whole scans instead. *)
@@ -1512,10 +1364,12 @@ let iter_reachable ?(config = Config.default) disc (p : Lang.Ast.program) ~f =
               let succs = successors w n in
               if first then
                 w.ls.L.transitions <- w.ls.L.transitions + List.length succs;
-              List.iter (fun { next; _ } -> visit next (depth + 1)) succs
+              List.iter
+                (fun (sc : Stepper.succ) -> visit sc.Stepper.state (depth + 1))
+                succs
       in
       Obs.Trace.span ~cat:"explore" "enumerate" (fun () ->
-          visit (Node.make ~world ~bit:true ~promised:TidMap.empty) 0);
+          visit root 0);
       Stats.Local.flush w.ls s.stats;
       Atomic.set s.stats.Stats.memo_size (NodeTbl.length best);
       Atomic.set s.stats.Stats.cert_cache_size

@@ -13,8 +13,9 @@
       switch bit [β] through thread steps ({!Npsem.bit_after}) and
       only switches when the bit is on.
 
-    The search is a depth-first traversal of the machine state space
-    computing, per state, the set of trace {e suffixes} from it.
+    Both machines are the one step relation of {!Stepper}; the search
+    is a depth-first traversal of its state space computing, per
+    state, the set of trace {e suffixes} from it.
     Suffix sets are memoized per state (promise budget included in the
     key), with Tarjan-style taint tracking so that results depending
     on a cycle (divergence) or on the depth budget are never reused
@@ -36,7 +37,7 @@
     widths.  {!iter_reachable} ignores the reduction request: race
     checking must see every reachable state. *)
 
-type discipline = Interleaving | Non_preemptive
+type discipline = Stepper.discipline = Interleaving | Non_preemptive
 
 (** Whether the traceset covers the whole (bounded-promise) state
     space.  Any verdict derived from a [Truncated] outcome must

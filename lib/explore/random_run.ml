@@ -4,58 +4,39 @@ type run_result = {
   final : Ps.Machine.world;
 }
 
+(* Promise-free: the walk samples executions, not weak behaviours. *)
+let config = { Config.default with Config.promise_mode = Config.No_promises }
+
 let run ?(seed = 0) ?(max_steps = 10_000) (p : Lang.Ast.program) =
-  match Ps.Machine.init p with
+  match Stepper.init p with
   | Error e -> Error e
-  | Ok world ->
+  | Ok n0 ->
       let rng = Random.State.make [| seed |] in
-      let code = p.Lang.Ast.code in
-      let outs = ref [] in
-      let world = ref world in
-      let steps = ref 0 in
-      let ending = ref Ps.Event.Cut in
-      (try
-         while !steps < max_steps do
-           incr steps;
-           let w = !world in
-           if Ps.Machine.terminal w then (
-             ending := Ps.Event.Done;
-             raise Exit);
-           let ts = Ps.Machine.cur_ts w in
-           let thread_steps =
-             Ps.Thread.steps ~code ts w.Ps.Machine.mem
-             |> List.map (fun (s : Ps.Thread.step) -> `Step s)
-           in
-           let switches =
-             Ps.Machine.TidMap.fold
-               (fun tid ts' acc ->
-                 if
-                   tid <> w.Ps.Machine.cur
-                   && not (Ps.Local.is_finished ts'.Ps.Thread.local)
-                 then `Switch tid :: acc
-                 else acc)
-               w.Ps.Machine.tp []
-           in
-           let choices = thread_steps @ switches in
-           if choices = [] then (
-             ending := Ps.Event.Open;
-             raise Exit);
-           match List.nth choices (Random.State.int rng (List.length choices))
-           with
-           | `Switch tid -> world := Ps.Machine.switch w tid
-           | `Step s ->
-               (match s.Ps.Thread.event with
-               | Ps.Event.Out v -> outs := v :: !outs
-               | _ -> ());
-               world := Ps.Machine.set_cur_ts w s.Ps.Thread.ts s.Ps.Thread.mem
-         done
-       with Exit -> ());
-      Ok
-        {
-          trace = { Ps.Event.outs = List.rev !outs; ending = !ending };
-          steps = !steps;
-          final = !world;
-        }
+      let hooks = Stepper.plain ~config ~program:p in
+      let rec go (n : Stepper.Node.t) steps outs =
+        let finish ending steps =
+          let trace = { Ps.Event.outs = List.rev outs; ending } in
+          Ok { trace; steps; final = n.Stepper.Node.world }
+        in
+        if steps >= max_steps then finish Ps.Event.Cut steps
+        else if Ps.Machine.terminal n.Stepper.Node.world then
+          finish Ps.Event.Done (steps + 1)
+        else
+          match
+            Stepper.successors ~hooks ~config
+              ~discipline:Stepper.Interleaving ~program:p n
+          with
+          | [] -> finish Ps.Event.Open (steps + 1)
+          | succs ->
+              let s =
+                List.nth succs (Random.State.int rng (List.length succs))
+              in
+              let outs =
+                match Stepper.emit s with Some v -> v :: outs | None -> outs
+              in
+              go s.Stepper.state (steps + 1) outs
+      in
+      go n0 0 []
 
 let run_exn ?seed ?max_steps p =
   match run ?seed ?max_steps p with

@@ -1,12 +1,13 @@
 (* ------------------------------------------------------------------ *)
 (* Seeded random program generation.
 
-   Same shape as the soundness property tests: two straight-line
-   threads over two non-atomic locations and one atomic flag, each
-   ending in a print — every access mode and the print interleavings
-   are exercised while exhaustive exploration stays tractable.  The
-   program is a pure function of the seed, so any quarantined case is
-   reproducible from its seed alone (and from the persisted .sexp). *)
+   Two straight-line threads over two non-atomic locations and one
+   atomic flag, each ending in a print — every access mode and the
+   print interleavings are exercised while exhaustive exploration
+   stays tractable.  The program is a pure function of the seed, so
+   any quarantined case is reproducible from its seed alone (and from
+   the persisted .sexp); the soundness property tests draw their
+   programs from the same function. *)
 
 let gen_instr rng : Lang.Ast.instr =
   let open Lang.Ast in

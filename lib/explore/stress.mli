@@ -8,10 +8,19 @@
     callback; [bin/psopt.ml]'s [stress] subcommand wires the two
     together. *)
 
+val gen_instr : Random.State.t -> Lang.Ast.instr
+(** One random straight-line instruction over registers [r0..r3], the
+    non-atomic locations [x], [y] and the atomic flag [f]: weights
+    3/3/2/1/1/1/1/1/1 over na load, na store, assignment, rlx load,
+    acq load, rlx store, rel store, fence and skip (a
+    [QCheck.Gen.t]). *)
+
 val generate : seed:int -> Lang.Ast.program
 (** A small well-formed two-thread program, a pure function of
-    [seed]: two non-atomic locations, one atomic flag, every access
-    mode, each thread ending in a print. *)
+    [seed]: each thread is 1–4 {!gen_instr} instructions then a print
+    of [r0].  The one random-program generator of the code base: the
+    stress runner, the soundness properties and the load tools all
+    draw from it. *)
 
 val reduction_of_seed : int -> Config.reduction
 (** The case's state-space reduction mode, a pure function of the

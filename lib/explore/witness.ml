@@ -3,20 +3,16 @@ module TidMap = Ps.Machine.TidMap
 type step = { tid : int; event : Ps.Event.te }
 type t = step list
 
-(* The witness search walks the same committed-step space as {!Enum}
-   (out/switch gated on the current thread's consistency; the
-   non-preemptive discipline additionally threads the switch bit), but
+(* The witness search walks {!Enum}'s step relation ({!Stepper}), but
    tracks how much of the requested output sequence has been emitted
-   and returns the path.  The successor enumeration itself lives in
-   {!Stepper}, shared with the replay debugger. *)
+   and returns the path. *)
 
 module Key = struct
-  type t = Stepper.state * int
-  (* stepper state (world, switch bit, promise budget spent), outputs
-     matched *)
+  type t = Stepper.Node.t * int
+  (* node (world, switch bit, promise budget spent), outputs matched *)
 
   let compare (s1, k1) (s2, k2) =
-    let c = Stepper.compare_state s1 s2 in
+    let c = Stepper.Node.compare s1 s2 in
     if c <> 0 then c else Int.compare k1 k2
 end
 
@@ -28,18 +24,21 @@ let find_trail ?(config = Config.default) ?(discipline = Enum.Interleaving)
   | Error e -> raise (Errors.Error (Errors.Ill_formed e))
   | Ok st0 ->
       let target = Array.of_list outs in
+      let hooks = Stepper.plain ~config ~program:p in
       let visited = ref KeySet.empty in
       let exception Found of Stepper.succ list in
-      let rec dfs (st : Stepper.state) matched depth acc =
+      let rec dfs (st : Stepper.Node.t) matched depth acc =
         if depth < config.Config.max_steps then begin
           let key = (st, matched) in
           if not (KeySet.mem key !visited) then begin
             visited := KeySet.add key !visited;
             if
               matched = Array.length target
-              && Ps.Machine.terminal st.Stepper.world
+              && Ps.Machine.terminal st.Stepper.Node.world
             then raise (Found (List.rev acc));
-            let succs = Stepper.successors ~config ~discipline ~program:p st in
+            let succs =
+              Stepper.successors ~hooks ~config ~discipline ~program:p st
+            in
             let succs =
               (* Eager-switch order: try context switches before thread
                  and promise steps, so the first witness found is
@@ -118,8 +117,8 @@ let msg_id m = (Ps.Message.var m, Ps.Message.to_ m)
 
 let msg_to_string m = Format.asprintf "%a" Ps.Message.pp m
 
-let prm_of_tid (st : Stepper.state) tid =
-  match TidMap.find_opt tid st.Stepper.world.Ps.Machine.tp with
+let prm_of_tid (st : Stepper.Node.t) tid =
+  match TidMap.find_opt tid st.Stepper.Node.world.Ps.Machine.tp with
   | Some ts -> ts.Ps.Thread.prm
   | None -> []
 
@@ -141,8 +140,8 @@ let annotate ?(config = Config.default) ?(discipline = Enum.Interleaving)
         else
           match
             Ps.Memory.added
-              ~prev:states.(i).Stepper.world.Ps.Machine.mem
-              states.(i + 1).Stepper.world.Ps.Machine.mem
+              ~prev:states.(i).Stepper.Node.world.Ps.Machine.mem
+              states.(i + 1).Stepper.Node.world.Ps.Machine.mem
           with
           | [ m ] -> Some m
           | _ -> None

@@ -36,7 +36,7 @@ val find_trail :
   ?eager_switch:bool ->
   outs:Lang.Ast.value list ->
   Lang.Ast.program ->
-  (Stepper.state * Stepper.succ list) option
+  (Stepper.Node.t * Stepper.succ list) option
 (** The same search returning the full {!Stepper} trail — initial
     state plus every successor taken, context switches included —
     which is what the replay recorder persists.  [eager_switch] makes

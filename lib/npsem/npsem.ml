@@ -1,10 +1,3 @@
-type t = { world : Ps.Machine.world; switchable : bool }
-
-let init p =
-  match Ps.Machine.init p with
-  | Ok world -> Ok { world; switchable = true }
-  | Error e -> Error e
-
 let bit_after te ~before =
   match Ps.Event.classify te with
   | Ps.Event.NA -> Some false
@@ -13,16 +6,3 @@ let bit_after te ~before =
       match te with
       | Ps.Event.Ccl -> Some before
       | _ -> if before then Some true else None)
-
-let may_switch t = t.switchable
-
-let compare a b =
-  let c = Ps.Machine.compare a.world b.world in
-  if c <> 0 then c else Bool.compare a.switchable b.switchable
-
-let equal a b = compare a b = 0
-
-let pp ppf t =
-  Format.fprintf ppf "%s %a"
-    (if t.switchable then "[o]" else "[*]")
-    Ps.Machine.pp t.world

@@ -17,23 +17,14 @@
     the block, and its reads still pick among all view-compatible
     messages, which is why the non-preemptive machine produces exactly
     the behaviours of the interleaving one (Theorem 4.1; validated
-    exhaustively by {!Explore} on the litmus corpus, experiment E9). *)
+    exhaustively by {!Explore} on the litmus corpus, experiment E9).
 
-type t = {
-  world : Ps.Machine.world;
-  switchable : bool;  (** the switch bit [β]; [true] is [◦] *)
-}
-
-val init : Lang.Ast.program -> (t, string) result
-(** Initial configuration: switch bit on. *)
+    The machine itself is {!Explore.Stepper} under its
+    [Non_preemptive] discipline; this module holds the switch-bit
+    rule it threads. *)
 
 val bit_after : Ps.Event.te -> before:bool -> bool option
 (** [bit_after te ~before] is the switch bit after a thread step
     labelled [te] from a configuration with bit [before], or [None]
     if the step is forbidden (promise/reserve with the bit off) —
     the first rule of Fig. 10. *)
-
-val may_switch : t -> bool
-val compare : t -> t -> int
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -3,8 +3,8 @@ module TidMap = Ps.Machine.TidMap
 
 let msg_to_string m = Format.asprintf "%a" Ps.Message.pp m
 
-let view_of (st : Stepper.state) tid =
-  match TidMap.find_opt tid st.Stepper.world.Ps.Machine.tp with
+let view_of (st : Stepper.Node.t) tid =
+  match TidMap.find_opt tid st.Stepper.Node.world.Ps.Machine.tp with
   | Some ts -> Some ts.Ps.Thread.view
   | None -> None
 
@@ -25,17 +25,17 @@ let loc_of (s : Stepper.succ) ~added ~removed =
   | _ -> None
 
 let records_of_trail ~config ~program st0 trail =
-  let rec go num (prev : Stepper.state) acc = function
+  let rec go num (prev : Stepper.Node.t) acc = function
     | [] -> List.rev acc
     | (s : Stepper.succ) :: rest ->
         let next = s.Stepper.state in
         let added =
-          Ps.Memory.added ~prev:prev.Stepper.world.Ps.Machine.mem
-            next.Stepper.world.Ps.Machine.mem
+          Ps.Memory.added ~prev:prev.Stepper.Node.world.Ps.Machine.mem
+            next.Stepper.Node.world.Ps.Machine.mem
         in
         let removed =
-          Ps.Memory.removed ~prev:prev.Stepper.world.Ps.Machine.mem
-            next.Stepper.world.Ps.Machine.mem
+          Ps.Memory.removed ~prev:prev.Stepper.Node.world.Ps.Machine.mem
+            next.Stepper.Node.world.Ps.Machine.mem
         in
         let committed, cert_states =
           Stepper.committed_stats ~config ~program prev

@@ -6,7 +6,7 @@
 val records_of_trail :
   config:Explore.Config.t ->
   program:Lang.Ast.program ->
-  Explore.Stepper.state ->
+  Explore.Stepper.Node.t ->
   Explore.Stepper.succ list ->
   Trace.record list
 (** One record per trail step.  Deterministic given the trail: the

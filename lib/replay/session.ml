@@ -3,12 +3,12 @@ module Stepper = Explore.Stepper
 type t = {
   s_header : Trace.header;
   records : Trace.record array;
-  keyframes : Stepper.state array;
+  keyframes : Stepper.Node.t array;
       (* keyframes.(i) = state at position i * kf; slot 0 is the
          initial state, the array always covers the whole trace *)
   kf : int;
   mutable pos : int;
-  mutable cur : Stepper.state;
+  mutable cur : Stepper.Node.t;
   mutable replayed : int;
 }
 
@@ -16,7 +16,7 @@ let header t = t.s_header
 let length t = Array.length t.records
 let pos t = t.pos
 let state t = t.cur
-let world t = t.cur.Stepper.world
+let world t = t.cur.Stepper.Node.world
 let keyframe_every t = t.kf
 let replayed_steps t = t.replayed
 

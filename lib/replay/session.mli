@@ -32,7 +32,7 @@ val length : t -> int
     [length]. *)
 
 val pos : t -> int
-val state : t -> Explore.Stepper.state
+val state : t -> Explore.Stepper.Node.t
 val world : t -> Ps.Machine.world
 
 val record_at : t -> int -> Trace.record option

@@ -54,7 +54,7 @@ let ddmin ~check items =
 
 type schedule_result = {
   witness : Witness.t;
-  init : Stepper.state;
+  init : Stepper.Node.t;
   trail : Stepper.succ list;
   switches_before : int;
   switches_after : int;

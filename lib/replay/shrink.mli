@@ -24,7 +24,7 @@ val ddmin : check:('a list -> bool) -> 'a list -> 'a list
 
 type schedule_result = {
   witness : Explore.Witness.t;  (** the shrunk schedule *)
-  init : Explore.Stepper.state;
+  init : Explore.Stepper.Node.t;
   trail : Explore.Stepper.succ list;
       (** a full replay of [witness], recordable via {!Record} *)
   switches_before : int;

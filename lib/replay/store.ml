@@ -1,5 +1,7 @@
-let magic = "psopt-replay/1"
-let index_magic = "psopt-replay-idx/1"
+let magic = "psopt-replay/2"
+let index_magic = "psopt-replay-idx/2"
+
+module P = Service.Proto
 
 type error =
   | Missing of string
@@ -16,41 +18,33 @@ let error_to_string = function
   | Corrupt_record (n, m) -> Printf.sprintf "corrupt record %d: %s" n m
 
 (* ------------------------------------------------------------------ *)
-(* Framing: "<len> <md5-hex>\n<payload>\n". *)
+(* Framing: the wire framing of {!Service.Proto} — a 4-byte big-endian
+   length and the payload's MD5, then the payload. *)
 
 let write_frame oc payload =
-  Printf.fprintf oc "%d %s\n%s\n" (String.length payload)
-    (Digest.to_hex (Digest.string payload))
-    payload
+  output_string oc (P.frame_header payload);
+  output_string oc payload
 
-(* Reads the frame starting at the current position.  [Error None] is
-   a clean end-of-file exactly at a frame boundary; any other failure
-   is [Error (Some (offset, what))]. *)
+type frame_error =
+  | End  (* clean end of file exactly at a frame boundary *)
+  | Cut of int  (* the data ran out inside the frame starting here *)
+  | Bad of string  (* bad length word or checksum mismatch *)
+
 let read_frame ic =
   let start = pos_in ic in
-  match input_line ic with
-  | exception End_of_file -> Error None
-  | hd -> (
-      match String.split_on_char ' ' hd with
-      | [ len; digest ] -> (
-          match int_of_string_opt len with
-          | None -> Error (Some (start, "bad length word"))
-          | Some len when len < 0 || len > 1 lsl 26 ->
-              Error (Some (start, "implausible length word"))
-          | Some len -> (
-              let buf = Bytes.create len in
-              match really_input ic buf 0 len with
-              | exception End_of_file -> Error (Some (start, "eof"))
-              | () -> (
-                  match input_char ic with
-                  | exception End_of_file -> Error (Some (start, "eof"))
-                  | '\n' ->
-                      let payload = Bytes.to_string buf in
-                      if Digest.to_hex (Digest.string payload) = digest then
-                        Ok payload
-                      else Error (Some (start, "checksum mismatch"))
-                  | _ -> Error (Some (start, "missing frame terminator")))))
-      | _ -> Error (Some (start, "bad frame header")))
+  if start >= in_channel_length ic then Error End
+  else
+    match really_input_string ic P.header_len with
+    | exception End_of_file -> Error (Cut start)
+    | hdr -> (
+        match P.parse_frame_header hdr with
+        | Error m -> Error (Bad m)
+        | Ok (n, digest) -> (
+            match really_input_string ic n with
+            | exception End_of_file -> Error (Cut start)
+            | payload ->
+                P.check_payload ~digest payload
+                |> Result.map_error (fun m -> Bad m)))
 
 (* ------------------------------------------------------------------ *)
 (* Atomic publication (the Service.Store idiom): write to a temp file
@@ -72,55 +66,18 @@ type ix = {
   ix_loc : string option;
 }
 
-(* Index locations travel %-encoded so arbitrary location names cannot
-   break the line-oriented sidecar format. *)
+(* Index kinds and locations travel as the trace codec's atoms, so
+   arbitrary location names cannot break the line-oriented sidecar. *)
+let enc_kind k = Lang.Sexp.to_string (Trace.sexp_of_kind k)
+let dec_kind k = Trace.kind_of_sexp (Lang.Sexp.Atom k)
+
 let enc_loc = function
   | None -> "-"
-  | Some s ->
-      let b = Buffer.create (String.length s + 2) in
-      Buffer.add_char b '=';
-      String.iter
-        (fun c ->
-          match c with
-          | ' ' | '\n' | '\r' | '%' ->
-              Buffer.add_string b (Printf.sprintf "%%%02x" (Char.code c))
-          | c -> Buffer.add_char b c)
-        s;
-      Buffer.contents b
+  | Some s -> Lang.Sexp.to_string (P.atom_of_string s)
 
 let dec_loc = function
   | "-" -> Ok None
-  | s when String.length s > 0 && s.[0] = '=' -> (
-      let s = String.sub s 1 (String.length s - 1) in
-      let b = Buffer.create (String.length s) in
-      let n = String.length s in
-      let rec go i =
-        if i >= n then Ok (Some (Buffer.contents b))
-        else if s.[i] = '%' then
-          if i + 2 >= n then Error "bad %-escape"
-          else
-            match int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) with
-            | Some c ->
-                Buffer.add_char b (Char.chr c);
-                go (i + 3)
-            | None -> Error "bad %-escape"
-        else (
-          Buffer.add_char b s.[i];
-          go (i + 1))
-      in
-      go 0)
-  | _ -> Error "bad location field"
-
-let kind_char = function
-  | Trace.Thread_step -> "T"
-  | Trace.Promise_step -> "P"
-  | Trace.Switch_step -> "S"
-
-let kind_of_char = function
-  | "T" -> Ok Trace.Thread_step
-  | "P" -> Ok Trace.Promise_step
-  | "S" -> Ok Trace.Switch_step
-  | _ -> Error "bad kind"
+  | s -> Result.map Option.some (P.string_of_atom (Lang.Sexp.Atom s))
 
 let index_path path = path ^ ".idx"
 
@@ -133,7 +90,7 @@ let write_index path (entries : ix list) ~data_size =
      List.iteri
        (fun num e ->
          Printf.fprintf oc "%d %d %d %s %s\n" num e.off e.ix_tid
-           (kind_char e.ix_kind) (enc_loc e.ix_loc))
+           (enc_kind e.ix_kind) (enc_loc e.ix_loc))
        entries;
      close_out oc;
      Unix.rename tmp (index_path path)
@@ -174,7 +131,7 @@ let load_index path ~data_size =
                               ( int_of_string_opt n,
                                 int_of_string_opt off,
                                 int_of_string_opt tid,
-                                kind_of_char k,
+                                dec_kind k,
                                 dec_loc loc )
                             with
                             | Some n, Some off, Some tid, Ok k, Ok loc
@@ -289,9 +246,9 @@ let scan_entries ic =
   let rec go n acc =
     let off = pos_in ic in
     match read_frame ic with
-    | Error None -> Ok (Array.of_list (List.rev acc))
-    | Error (Some (off, "eof")) -> Error (Truncated off)
-    | Error (Some (_, msg)) -> Error (Corrupt_record (n, msg))
+    | Error End -> Ok (Array.of_list (List.rev acc))
+    | Error (Cut off) -> Error (Truncated off)
+    | Error (Bad msg) -> Error (Corrupt_record (n, msg))
     | Ok payload -> (
         match Lang.Sexp.parse payload with
         | Error m -> Error (Corrupt_record (n, m))
@@ -322,8 +279,9 @@ let open_ path =
         | m when m <> magic -> fail (Bad_magic path)
         | _ -> (
             match read_frame ic with
-            | Error None -> fail (Bad_header "empty trace")
-            | Error (Some (_, msg)) -> fail (Bad_header msg)
+            | Error End -> fail (Bad_header "empty trace")
+            | Error (Cut _) -> fail (Bad_header "truncated header frame")
+            | Error (Bad msg) -> fail (Bad_header msg)
             | Ok payload -> (
                 match Lang.Sexp.parse payload with
                 | Error m -> fail (Bad_header m)
@@ -363,9 +321,9 @@ let read r n =
   else begin
     seek_in r.r_ic r.r_ix.(n).off;
     match read_frame r.r_ic with
-    | Error None -> Error (Truncated r.r_ix.(n).off)
-    | Error (Some (off, "eof")) -> Error (Truncated off)
-    | Error (Some (_, msg)) -> Error (Corrupt_record (n, msg))
+    | Error End -> Error (Truncated r.r_ix.(n).off)
+    | Error (Cut off) -> Error (Truncated off)
+    | Error (Bad msg) -> Error (Corrupt_record (n, msg))
     | Ok payload -> (
         match Lang.Sexp.parse payload with
         | Error m -> Error (Corrupt_record (n, m))

@@ -1,14 +1,13 @@
 (** The on-disk trace store: a magic line, then the header and each
-    step record as a length-plus-MD5-framed s-expression, with a
-    sidecar index mapping step number, thread id, step kind and
-    location to file offsets (docs/REPLAY.md).
+    step record as an s-expression framed exactly like a
+    {!Service.Proto} message (4-byte big-endian length, 16-byte MD5,
+    payload), with a sidecar index mapping step number, thread id,
+    step kind and location to file offsets (docs/REPLAY.md).
 
     {v
-    psopt-replay/1
-    <len> <md5-hex>
-    <header sexp>
-    <len> <md5-hex>
-    <step-0 sexp>
+    psopt-replay/2
+    <len:4><md5:16><header sexp>
+    <len:4><md5:16><step-0 sexp>
     …
     v}
 
@@ -24,7 +23,8 @@
 
 type error =
   | Missing of string  (** no such file *)
-  | Bad_magic of string  (** not a replay trace (or future version) *)
+  | Bad_magic of string
+      (** not a replay trace, or another format version *)
   | Bad_header of string  (** header frame damaged or undecodable *)
   | Truncated of int
       (** data ran out mid-frame at this byte offset — a partially

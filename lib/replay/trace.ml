@@ -1,7 +1,11 @@
 module Sexp = Lang.Sexp
 module P = Service.Proto
 
-type kind = Explore.Stepper.kind = Thread_step | Promise_step | Switch_step
+type kind = Explore.Stepper.kind =
+  | Thread_step
+  | Promise_step
+  | Reservation_step
+  | Switch_step
 
 type record = {
   num : int;
@@ -126,11 +130,13 @@ let opt_of_sexp f = function
 let sexp_of_kind = function
   | Thread_step -> Sexp.Atom "thread"
   | Promise_step -> Sexp.Atom "promise"
+  | Reservation_step -> Sexp.Atom "reservation"
   | Switch_step -> Sexp.Atom "switch"
 
 let kind_of_sexp = function
   | Sexp.Atom "thread" -> Ok Thread_step
   | Sexp.Atom "promise" -> Ok Promise_step
+  | Sexp.Atom "reservation" -> Ok Reservation_step
   | Sexp.Atom "switch" -> Ok Switch_step
   | _ -> Error "bad step kind"
 

@@ -14,7 +14,11 @@
     typed-error decoders discipline as {!Service.Proto} (arbitrary
     strings travel percent-encoded behind the ["s:"] sigil). *)
 
-type kind = Explore.Stepper.kind = Thread_step | Promise_step | Switch_step
+type kind = Explore.Stepper.kind =
+  | Thread_step
+  | Promise_step
+  | Reservation_step
+  | Switch_step
 
 type record = {
   num : int;  (** 0-based step number: the step from state [num] to
@@ -55,6 +59,8 @@ type header = {
 
 val current_version : int
 
+val sexp_of_kind : kind -> Lang.Sexp.t
+val kind_of_sexp : Lang.Sexp.t -> (kind, string) result
 val sexp_of_te : Ps.Event.te -> Lang.Sexp.t
 val te_of_sexp : Lang.Sexp.t -> (Ps.Event.te, string) result
 val sexp_of_record : record -> Lang.Sexp.t

@@ -609,15 +609,29 @@ let write_all ?deadline fd buf pos len =
   in
   with_nonblock deadline fd (fun () -> go pos len)
 
-let write_frame ?timeout_s fd payload =
+let frame_header payload =
   let n = String.length payload in
-  if n > max_frame then invalid_arg "Proto.write_frame: frame too large";
-  let deadline = deadline_of_timeout timeout_s in
+  if n > max_frame then invalid_arg "Proto.frame_header: frame too large";
   let hdr = Bytes.create header_len in
   Bytes.set_int32_be hdr 0 (Int32.of_int n);
   Bytes.blit_string (Digest.string payload) 0 hdr 4 16;
-  let* () = write_all ?deadline fd (Bytes.to_string hdr) 0 header_len in
-  write_all ?deadline fd payload 0 n
+  Bytes.unsafe_to_string hdr
+
+let parse_frame_header hdr =
+  let n = Int32.to_int (String.get_int32_be hdr 0) in
+  if n < 0 || n > max_frame then
+    Error (Printf.sprintf "bad frame length %d" n)
+  else Ok (n, String.sub hdr 4 16)
+
+let check_payload ~digest payload =
+  if String.equal (Digest.string payload) digest then Ok payload
+  else Error "frame checksum mismatch"
+
+let write_frame ?timeout_s fd payload =
+  let hdr = frame_header payload in
+  let deadline = deadline_of_timeout timeout_s in
+  let* () = write_all ?deadline fd hdr 0 header_len in
+  write_all ?deadline fd payload 0 (String.length payload)
 
 let read_frame ?idle_timeout_s ?io_timeout_s fd =
   (* the gap between frames may be long (keep-alive); once the first
@@ -630,16 +644,10 @@ let read_frame ?idle_timeout_s ?io_timeout_s fd =
   in
   let deadline = deadline_of_timeout io_timeout_s in
   let* rest = read_exact ?deadline ~phase:Header fd (header_len - 1) in
-  let hdr = first ^ rest in
-  let n = Int32.to_int (String.get_int32_be hdr 0) in
-  if n < 0 || n > max_frame then
-    Error (Corrupt (Printf.sprintf "bad frame length %d" n))
-  else
-    let sum = String.sub hdr 4 16 in
-    let* payload = read_exact ?deadline ~phase:Payload fd n in
-    if not (String.equal (Digest.string payload) sum) then
-      Error (Corrupt "frame checksum mismatch")
-    else Ok payload
+  let corrupt r = Result.map_error (fun msg -> Corrupt msg) r in
+  let* n, digest = corrupt (parse_frame_header (first ^ rest)) in
+  let* payload = read_exact ?deadline ~phase:Payload fd n in
+  corrupt (check_payload ~digest payload)
 
 let send_request ?timeout_s fd r =
   write_frame ?timeout_s fd (to_string (sexp_of_request r))

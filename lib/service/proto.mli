@@ -159,6 +159,19 @@ val max_frame : int
 val header_len : int
 (** Bytes of framing overhead per message (20). *)
 
+val frame_header : string -> string
+(** The [header_len]-byte header announcing a payload: its length,
+    big-endian, then its MD5.  Pure, so the replay store frames its
+    records the same way.
+    @raise Invalid_argument when the payload exceeds {!max_frame}. *)
+
+val parse_frame_header : string -> (int * string, string) result
+(** The announced payload length and digest of a [header_len]-byte
+    header; [Error] when the length is outside [[0, max_frame]]. *)
+
+val check_payload : digest:string -> string -> (string, string) result
+(** The payload back, or [Error] when its MD5 is not [digest]. *)
+
 val write_frame :
   ?timeout_s:float -> Unix.file_descr -> string -> (unit, error) result
 

@@ -47,16 +47,19 @@ let test_bit_rules () =
   Alcotest.(check (option bool)) "ccl off" (Some false) (bit Ccl false);
   Alcotest.(check (option bool)) "ccl on" (Some true) (bit Ccl true)
 
-let test_init_and_switch () =
-  match Npsem.init Litmus.sb.Litmus.prog with
-  | Error e -> Alcotest.fail e
-  | Ok t ->
-      Alcotest.(check bool) "starts switchable" true (Npsem.may_switch t);
-      let t' = { t with Npsem.switchable = false } in
-      Alcotest.(check bool) "bit off blocks" false (Npsem.may_switch t');
-      Alcotest.(check bool) "compare distinguishes the bit" true
-        (Npsem.compare t t' <> 0);
-      Alcotest.(check bool) "equal reflexive" true (Npsem.equal t t)
+(* Fig. 10's switch gate in the shared step relation: switching needs
+   the bit on, and then targets every other thread in ascending id. *)
+let test_switch_gate () =
+  let module S = Explore.Stepper in
+  let n = Result.get_ok (S.init Litmus.iriw.Litmus.prog) in
+  let targets n =
+    S.switch_successors ~discipline:S.Non_preemptive ~committed:(lazy true) n
+    |> List.map (fun (s : S.succ) -> s.S.tid)
+  in
+  let off = { n with S.Node.bit = false; hv = 0 } in
+  Alcotest.(check (list int)) "bit on" [ 1; 2; 3 ] (targets n);
+  Alcotest.(check (list int)) "bit off blocks" [] (targets off);
+  Alcotest.(check bool) "the bit is state" false (S.Node.equal n off)
 
 (* A thread ending in a block of non-atomic accesses: under the
    non-preemptive machine the block runs uninterrupted, but the
@@ -74,7 +77,7 @@ let () =
         [
           Alcotest.test_case "classification" `Quick test_classification;
           Alcotest.test_case "switch-bit transitions" `Quick test_bit_rules;
-          Alcotest.test_case "init/switch" `Quick test_init_and_switch;
+          Alcotest.test_case "switch gate" `Quick test_switch_gate;
           Alcotest.test_case "na block equivalence" `Quick
             test_na_block_uninterrupted_yet_equivalent;
         ] );

@@ -3,7 +3,9 @@
    store), snapshot-plus-replay state reconstruction at every step,
    the O(K) keyframe jump bound, the stepping protocol, and
    counterexample shrinking — ddmin over switch points and greedy
-   program reduction, every candidate re-validated by replaying it. *)
+   program reduction, every candidate re-validated by replaying it —
+   and the shared step relation: witness search, recording and replay
+   agree with the explorer under promise bounds and reservations. *)
 
 module Stepper = Explore.Stepper
 module Witness = Explore.Witness
@@ -221,7 +223,7 @@ let test_corruption_modes () =
   (* 6: a damaged sidecar is advisory — silently rebuilt *)
   let stale = fresh "stale-idx.trace" in
   spit stale data;
-  spit (stale ^ ".idx") "psopt-replay-idx/1\ndata 1 0\n";
+  spit (stale ^ ".idx") "psopt-replay-idx/2\ndata 1 0\n";
   match Store.open_ stale with
   | Error e -> Alcotest.fail (Store.error_to_string e)
   | Ok r ->
@@ -249,7 +251,7 @@ let test_state_equality_everywhere () =
     Alcotest.(check bool)
       (Printf.sprintf "state at %d reconstructed exactly" n)
       true
-      (Stepper.equal_state states.(n) (Session.state t))
+      (Stepper.Node.equal states.(n) (Session.state t))
   done;
   (* and backwards, through a different mix of keyframe starts *)
   for n = Session.length t downto 0 do
@@ -257,7 +259,7 @@ let test_state_equality_everywhere () =
     Alcotest.(check bool)
       (Printf.sprintf "state at %d (backward sweep)" n)
       true
-      (Stepper.equal_state states.(n) (Session.state t))
+      (Stepper.Node.equal states.(n) (Session.state t))
   done
 
 let test_keyframe_jump_cost () =
@@ -626,6 +628,171 @@ let test_quarantine_trace () =
         (Printf.sprintf "expected one recorded trace, got %d" (List.length l))
 
 (* --------------------------------------------------------------- *)
+(* One step relation: the witness search and the replay debugger see
+   exactly the steps the explorer counts. *)
+
+module Config = Explore.Config
+module Enum = Explore.Enum
+
+let bounded k =
+  let r = { Config.no_reduction with Config.bound_promises = Some k } in
+  { config with Config.reduction = r }
+
+let rsv = { config with Config.reservations = true }
+
+let printed records =
+  List.filter_map
+    (fun (r : Trace.record) ->
+      match r.Trace.event with Some (Ps.Event.Out v) -> Some v | _ -> None)
+    records
+
+(* LB's [1; 1] needs a promise: under a promise bound of 0 the
+   explorer drops it, so the witness search must too. *)
+let test_bound_zero_no_witness () =
+  Alcotest.(check bool) "witness under the default bound" true
+    (Witness.find ~config ~outs:[ 1; 1 ] lb <> None);
+  Alcotest.(check bool) "no witness under bound_promises = 0" true
+    (Witness.find ~config:(bounded 0) ~outs:[ 1; 1 ] lb = None)
+
+(* A CAS schedule that first reserves (and cancels) is recorded to a
+   store and replayed by a session to the same outputs. *)
+let test_reservation_trail_replays () =
+  let p = Litmus.cas_exclusive.Litmus.prog and outs = [ 1; 0 ] in
+  let w =
+    match Witness.find ~config:rsv ~outs p with
+    | Some w -> w
+    | None -> Alcotest.fail "cas_exclusive [1; 0] should have a witness"
+  in
+  let w =
+    { Witness.tid = 0; event = Ps.Event.Rsv }
+    :: { Witness.tid = 0; event = Ps.Event.Ccl } :: w
+  in
+  let path = fresh "cas-rsv.trace" in
+  (match Replay.Record.record_schedule ~config:rsv ~outs ~path p w with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail ("record: " ^ m));
+  let t = load_exn path in
+  let records =
+    List.init (Session.length t) (fun n -> Option.get (Session.record_at t n))
+  in
+  Alcotest.(check bool) "the trail reserves" true
+    (List.exists
+       (fun (r : Trace.record) -> r.Trace.event = Some Ps.Event.Rsv)
+       records);
+  Alcotest.(check (list int)) "replay prints the recorded outputs" outs
+    (printed records);
+  ignore (Session.jump t (Session.length t));
+  Alcotest.(check bool) "replay ends terminal" true
+    (Ps.Machine.terminal (Session.world t))
+
+module NodeTbl = Hashtbl.Make (Stepper.Node)
+
+(* [iter_reachable] visits exactly the breadth-first closure of the
+   shared relation within [max_steps - 1] steps of [init] — budget
+   complete, even where its depth-first walk first meets a node on a
+   longer path (reservation detours do that constantly). *)
+let check_reachable ~name ~config ~discipline p =
+  let visited = ref [] in
+  ignore
+    (Enum.iter_reachable ~config discipline p ~f:(fun ~committed:_ w ->
+         visited := w :: !visited));
+  let seen = NodeTbl.create 256 in
+  let rec layer depth frontier =
+    if depth < config.Config.max_steps && frontier <> [] then
+      layer (depth + 1)
+        (List.concat_map
+           (fun n ->
+             Stepper.successors ~config ~discipline ~program:p n
+             |> List.filter_map (fun (s : Stepper.succ) ->
+                    let n = s.Stepper.state in
+                    if NodeTbl.mem seen n then None
+                    else (
+                      NodeTbl.add seen n ();
+                      Some n)))
+           frontier)
+  in
+  let n0 = Result.get_ok (Stepper.init p) in
+  NodeTbl.add seen n0 ();
+  layer 1 [ n0 ];
+  let worlds l = List.sort_uniq Ps.Machine.compare l in
+  let closed = NodeTbl.fold (fun n () l -> n.Stepper.Node.world :: l) seen [] in
+  if
+    List.length !visited <> NodeTbl.length seen
+    || not (List.equal Ps.Machine.equal (worlds !visited) (worlds closed))
+  then
+    Alcotest.failf "%s: iter_reachable visited %d nodes, the closure has %d"
+      name (List.length !visited) (NodeTbl.length seen)
+
+(* Every completed trace of an exhaustive exploration has a witness
+   trail, whose records replay to the same outputs. *)
+let check_witnesses ~name ~config ~discipline p =
+  let o = Enum.behaviors_exn ~config discipline p in
+  let check (tr : Ps.Event.trace) () =
+    let outs = tr.Ps.Event.outs in
+    let fail what =
+      Alcotest.failf "%s [%s]: %s" name
+        (String.concat ";" (List.map string_of_int outs))
+        what
+    in
+    if tr.Ps.Event.ending = Ps.Event.Done then
+      match Witness.find_trail ~config ~discipline ~outs p with
+      | None -> fail "no witness trail"
+      | Some (n0, trail) -> (
+          let records =
+            Replay.Record.records_of_trail ~config ~program:p n0 trail
+          in
+          let h = Replay.Record.header ~config ~discipline ~outs p in
+          match Session.of_records h records with
+          | Error m -> fail m
+          | Ok t ->
+              if Session.jump t (Session.length t) <> Ok () then
+                fail "replay stopped"
+              else if printed records <> outs then fail "other outputs"
+              else if not (Ps.Machine.terminal (Session.world t)) then
+                fail "replay ends non-terminal")
+  in
+  if o.Enum.exact then Explore.Traceset.fold check o.Enum.traces ()
+
+(* Reservations make the reachable space grow exponentially with the
+   depth (a thread may reserve behind every message, and each
+   reserve/cancel pair is a new interleaving), so that config is
+   checked to depth 5.  No run finishes so early, so it has no
+   exhaustive outcome to witness; the reservation test above covers
+   its trails.  [iter_reachable] ignores reductions, so the bounded
+   configs only check witnesses. *)
+let test_differential () =
+  let configs =
+    [
+      ("default", config);
+      ("reservations", { rsv with Config.max_steps = 5 });
+      ("bound 0", bounded 0);
+      ("bound 1", bounded 1);
+    ]
+  in
+  let programs =
+    List.map (fun (t : Litmus.t) -> (t.Litmus.name, t.Litmus.prog)) Litmus.all
+    @ List.init 108 (fun seed ->
+          (Printf.sprintf "seed %d" seed, Explore.Stress.generate ~seed))
+  in
+  List.iter
+    (fun (pname, p) ->
+      List.iter
+        (fun discipline ->
+          List.iter
+            (fun (cname, (config : Config.t)) ->
+              let name =
+                Format.asprintf "%s %a %s" pname Enum.pp_discipline discipline
+                  cname
+              in
+              if config.Config.reduction.Config.bound_promises = None then
+                check_reachable ~name ~config ~discipline p;
+              if not config.Config.reservations then
+                check_witnesses ~name ~config ~discipline p)
+            configs)
+        [ il; Enum.Non_preemptive ])
+    programs
+
+(* --------------------------------------------------------------- *)
 
 let () =
   Alcotest.run "replay"
@@ -670,5 +837,14 @@ let () =
         [
           Alcotest.test_case "quarantined cases get a replayable trace"
             `Quick test_quarantine_trace;
+        ] );
+      ( "stepper",
+        [
+          Alcotest.test_case "bound 0 leaves LB 1/1 without a witness" `Quick
+            test_bound_zero_no_witness;
+          Alcotest.test_case "a reserving trail records and replays" `Quick
+            test_reservation_trail_replays;
+          Alcotest.test_case "explorer, witnesses and replay agree" `Quick
+            test_differential;
         ] );
     ]
