@@ -1518,6 +1518,98 @@ let synth_cfg ~blocks =
   in
   program ~code:[ ("t", codeheap ~entry:"B0" (List.init blocks mk)) ] [ "t" ]
 
+(* A CFG of [blocks] blocks shaped like perfbench's opt_large ones: 16
+   chunks, each a straight chain over half its budget around a loop
+   nest three deep.  Every block loads [a] and [b] and stores [c];
+   nothing stores [a] or [b], so LInv hoists in every loop. *)
+let nested_loop_cfg ~blocks =
+  let open Lang.Ast in
+  let out = ref [] in
+  let n = ref 0 in
+  let fresh () =
+    incr n;
+    Printf.sprintf "B%d" !n
+  in
+  let straight () =
+    [
+      Load ("r1", "a", Lang.Modes.Na);
+      Load ("r2", "b", Lang.Modes.Na);
+      Store ("c", Bin (Add, Reg "r1", Reg "r2"), Lang.Modes.WNa);
+    ]
+  in
+  let emit l instrs term = out := (l, block instrs term) :: !out in
+  let rec chain ~entry ~exit n =
+    if n <= 1 then emit entry (straight ()) (Jmp exit)
+    else begin
+      let next = fresh () in
+      emit entry (straight ()) (Jmp next);
+      chain ~entry:next ~exit (n - 1)
+    end
+  in
+  let rec region ~depth ~entry ~exit budget =
+    if budget < 4 || depth >= 3 then chain ~entry ~exit budget
+    else begin
+      let pre = (budget - 3) / 2 in
+      let start = if pre > 0 then fresh () else entry in
+      if pre > 0 then chain ~entry ~exit:start pre;
+      let ctr = Printf.sprintf "i%d" depth in
+      let head = fresh () and body = fresh () and latch = fresh () in
+      emit start (straight () @ [ Assign (ctr, Val 0) ]) (Jmp head);
+      emit head [] (Be (Bin (Lt, Reg ctr, Val 2), body, exit));
+      emit latch
+        (straight () @ [ Assign (ctr, Bin (Add, Reg ctr, Val 1)) ])
+        (Jmp head);
+      region ~depth:(depth + 1) ~entry:body ~exit:latch (budget - 3 - pre)
+    end
+  in
+  let chunks = 16 in
+  let rec top k entry =
+    let b = (blocks * (k + 1) / chunks) - (blocks * k / chunks) in
+    if k = chunks - 1 then region ~depth:0 ~entry ~exit:"END" b
+    else begin
+      let next = fresh () in
+      region ~depth:0 ~entry ~exit:next b;
+      top (k + 1) next
+    end
+  in
+  top 0 "B0";
+  emit "END" [ Print (Reg "r1") ] Return;
+  program ~code:[ ("t", codeheap ~entry:"B0" !out) ] [ "t" ]
+
+(* LICM scaling: the pass on [nested_loop_cfg] at 150 and 1500 blocks,
+   each timed as the min of at least three runs and 0.2 s.  The gate
+   (also under [--check]) bounds the ratio of the two times, which does
+   not depend on the host's speed the way an absolute time does: 10×
+   the blocks may cost at most [licm_ratio_ceiling]× the time.  A
+   near-linear pass measures ~10×; the set-based dominator's cubic
+   cost measured ~300×. *)
+let licm_ratio_ceiling = 30.
+
+let licm_scaling_table () =
+  Format.printf "== LICM scaling on nested-loop CFGs ==@.";
+  let time blocks =
+    let p = nested_loop_cfg ~blocks in
+    let rec go runs best t_total =
+      if runs >= 3 && t_total >= 0.2 then best
+      else begin
+        let t0 = Unix.gettimeofday () in
+        ignore (Opt.Pass.apply Opt.Licm.pass p);
+        let dt = Unix.gettimeofday () -. t0 in
+        go (runs + 1) (Float.min best dt) (t_total +. dt)
+      end
+    in
+    go 0 infinity 0.
+  in
+  let t_small = time 150 and t_large = time 1500 in
+  let ratio = t_large /. t_small in
+  Format.printf "licm 150 blocks %8.2f ms   1500 blocks %8.2f ms   ratio %.1fx@."
+    (t_small *. 1000.) (t_large *. 1000.) ratio;
+  row "LS1"
+    (Printf.sprintf "LICM at 1500 vs 150 nested-loop blocks: ratio <= %.0fx"
+       licm_ratio_ceiling)
+    (ratio <= licm_ratio_ceiling);
+  Format.printf "@."
+
 (* ------------------------------------------------------------------ *)
 (* Phase 2: bechamel timings *)
 
@@ -1669,6 +1761,7 @@ let () =
   reduction_table ~timings:(not check_only) ();
   trace_ablation_table ~timings:(not check_only) ();
   truncation_pressure_table ();
+  licm_scaling_table ();
   scaling_table ~timings:(not check_only) ();
   service_store_table ~timings:(not check_only) ();
   replay_table ~timings:(not check_only) ();

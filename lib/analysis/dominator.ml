@@ -1,83 +1,102 @@
 open Lang.Ast
 
-(* dom.(l) = set of labels dominating l, for reachable l. *)
+(* Cooper, Harvey and Kennedy, "A Simple, Fast Dominance Algorithm"
+   (2001).  Reachable labels are numbered in reverse postorder; idom.(i)
+   is the RPO index of i's immediate dominator, and i itself for a root
+   of the dominator forest: the entry, and every reachable label without
+   a block (it has no predecessors to meet over, so nothing but itself
+   dominates it).  The dominator forest is then numbered in preorder
+   with subtree sizes, so an ancestor test is two integer comparisons. *)
 type t = {
-  dom : (label, VarSet.t) Hashtbl.t;  (* label sets; VarSet is a string set *)
-  idom : (label, label option) Hashtbl.t;
-  entry : label;
+  index : (label, int) Hashtbl.t;  (* RPO index of each reachable label *)
+  labels : label array;  (* RPO index -> label *)
+  idom : int array;
+  pre : int array;  (* preorder number in the dominator forest *)
+  size : int array;  (* subtree size in the dominator forest *)
 }
 
 let compute (ch : codeheap) =
-  let rpo = Lang.Cfg.reverse_postorder ch in
-  let preds = Lang.Cfg.predecessors ch in
-  let reachable = VarSet.of_list rpo in
-  let all = VarSet.of_list rpo in
-  let dom = Hashtbl.create 16 in
-  Hashtbl.replace dom ch.entry (VarSet.singleton ch.entry);
-  List.iter
-    (fun l -> if not (String.equal l ch.entry) then Hashtbl.replace dom l all)
-    rpo;
+  let labels = Array.of_list (Lang.Cfg.reverse_postorder ch) in
+  let n = Array.length labels in
+  let index = Hashtbl.create (2 * n + 1) in
+  Array.iteri (fun i l -> Hashtbl.replace index l i) labels;
+  (* Reachable predecessors, by RPO index. *)
+  let preds = Array.make n [] in
+  Array.iteri
+    (fun i l ->
+      match LabelMap.find_opt l ch.blocks with
+      | None -> ()
+      | Some b ->
+          List.iter
+            (fun s ->
+              let j = Hashtbl.find index s in
+              preds.(j) <- i :: preds.(j))
+            (Lang.Cfg.successors b))
+    labels;
+  let idom =
+    Array.init n (fun i ->
+        if i = 0 || not (LabelMap.mem labels.(i) ch.blocks) then i else -1)
+  in
+  (* Walk both fingers up the current tree to their nearest common
+     ancestor; a non-root's idom always has a smaller RPO index. *)
+  let rec intersect a b =
+    if a = b then a
+    else if a > b then intersect idom.(a) b
+    else intersect a idom.(b)
+  in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun l ->
-        if not (String.equal l ch.entry) then
-          let ps =
-            match LabelMap.find_opt l preds with
-            | Some ps -> List.filter (fun p -> VarSet.mem p reachable) ps
-            | None -> []
-          in
-          let meet =
-            List.fold_left
-              (fun acc p ->
-                let dp = Hashtbl.find dom p in
-                match acc with
-                | None -> Some dp
-                | Some s -> Some (VarSet.inter s dp))
-              None ps
-          in
-          let nd =
-            match meet with
-            | None -> VarSet.singleton l (* unreachable-from-preds *)
-            | Some s -> VarSet.add l s
-          in
-          if not (VarSet.equal nd (Hashtbl.find dom l)) then (
-            Hashtbl.replace dom l nd;
-            changed := true))
-      rpo
+    for i = 1 to n - 1 do
+      if idom.(i) <> i then begin
+        let nd =
+          List.fold_left
+            (fun acc p ->
+              if idom.(p) < 0 then acc
+              else if acc < 0 then p
+              else intersect p acc)
+            (-1) preds.(i)
+        in
+        if nd <> idom.(i) then begin
+          idom.(i) <- nd;
+          changed := true
+        end
+      end
+    done
   done;
-  (* Immediate dominators: the dominator with the largest dominator
-     set other than the node itself. *)
-  let idom = Hashtbl.create 16 in
-  List.iter
-    (fun l ->
-      let ds = VarSet.remove l (Hashtbl.find dom l) in
-      let best =
-        VarSet.fold
-          (fun d acc ->
-            let size = VarSet.cardinal (Hashtbl.find dom d) in
-            match acc with
-            | Some (_, s) when s >= size -> acc
-            | _ -> Some (d, size))
-          ds None
-      in
-      Hashtbl.replace idom l (Option.map fst best))
-    rpo;
-  { dom; idom; entry = ch.entry }
+  (* Children come after their parent in RPO, so subtree sizes
+     accumulate bottom-up and preorder slots are handed out top-down,
+     each in one sweep. *)
+  let size = Array.make n 1 in
+  for i = n - 1 downto 1 do
+    if idom.(i) <> i then size.(idom.(i)) <- size.(idom.(i)) + size.(i)
+  done;
+  let pre = Array.make n 0 in
+  let next = Array.make n 0 in
+  let roots = ref 0 in
+  for i = 0 to n - 1 do
+    let d = idom.(i) in
+    if d = i then begin
+      pre.(i) <- !roots;
+      roots := !roots + size.(i)
+    end
+    else begin
+      pre.(i) <- next.(d);
+      next.(d) <- next.(d) + size.(i)
+    end;
+    next.(i) <- pre.(i) + 1
+  done;
+  { index; labels; idom; pre; size }
 
 let dominates t a b =
-  match Hashtbl.find_opt t.dom b with
-  | Some s -> VarSet.mem a s
+  match Hashtbl.find_opt t.index b with
   | None -> true (* unreachable: vacuous *)
+  | Some j -> (
+      match Hashtbl.find_opt t.index a with
+      | None -> false
+      | Some i -> t.pre.(i) <= t.pre.(j) && t.pre.(j) < t.pre.(i) + t.size.(i))
 
-let idom t l = match Hashtbl.find_opt t.idom l with Some d -> d | None -> None
-
-let dominators_of t l =
-  match Hashtbl.find_opt t.dom l with
-  | None -> []
-  | Some s ->
-      List.sort
-        (fun a b ->
-          if dominates t a b then -1 else if dominates t b a then 1 else 0)
-        (VarSet.elements s)
+let idom t l =
+  match Hashtbl.find_opt t.index l with
+  | Some i when t.idom.(i) <> i -> Some t.labels.(t.idom.(i))
+  | _ -> None

@@ -53,7 +53,10 @@ val equivalent :
 
 val equivalent_disciplines : ?config:Config.t -> Lang.Ast.program -> bool
 (** Theorem 4.1, checked: the interleaving and non-preemptive
-    behaviour sets of one program coincide (as prefix-closed sets). *)
+    behaviour sets of one program coincide (as prefix-closed sets).
+    The theorem assumes unbounded promises: under a [max_promises]
+    below a thread's write count the non-preemptive set may be
+    strictly smaller. *)
 
 val safe : ?config:Config.t -> Lang.Ast.program -> bool
 (** [Safe(P)] (Sec. 6.3): no execution aborts.  CSimpRTL as modelled

@@ -57,37 +57,73 @@ let retarget_term old_l new_l t =
   | Call (f, lret) -> Call (f, rt lret)
   | Return -> Return
 
-let hoist_loop (ch : codeheap) (loop : Loops.loop) =
+(* Predecessor sets of every jump target, missing labels included:
+   those are retargeted like any other when they head a loop. *)
+let predecessors (ch : codeheap) =
+  LabelMap.fold
+    (fun l b acc ->
+      List.fold_left
+        (fun acc s ->
+          LabelMap.update s
+            (fun ps ->
+              Some (VarSet.add l (Option.value ps ~default:VarSet.empty)))
+            acc)
+        acc (Lang.Cfg.successors b))
+    ch.blocks LabelMap.empty
+
+let preds_of preds l =
+  Option.value (LabelMap.find_opt l preds) ~default:VarSet.empty
+
+(* The used registers and the predecessor map are those of [ch] on entry
+   and are kept exact across hoists, so each loop costs only its body
+   and its header's predecessors. *)
+let hoist_loop (used, preds, (ch : codeheap)) (loop : Loops.loop) =
   match invariant_loads ch loop with
-  | [] -> ch
+  | [] -> (used, preds, ch)
   | vars ->
-      let used = Lang.Cfg.regs_of_codeheap ch in
-      let loads, _ =
+      let loads, used =
         List.fold_left
           (fun (acc, used) x ->
             let rf = fresh_reg used ("linv_" ^ x ^ "_") in
             (Load (rf, x, Lang.Modes.Na) :: acc, RegSet.add rf used))
           ([], used) vars
       in
-      let ph = fresh_label ch ("PH_" ^ loop.Loops.header ^ "_") in
-      let ph_block = { instrs = List.rev loads; term = Jmp loop.Loops.header } in
+      let h = loop.Loops.header in
+      let ph = fresh_label ch ("PH_" ^ h ^ "_") in
+      let ph_block = { instrs = List.rev loads; term = Jmp h } in
       (* Outside-loop edges into the header now go through the
          preheader; back edges stay direct. *)
+      let outside, inside =
+        VarSet.partition
+          (fun p -> not (VarSet.mem p loop.Loops.body))
+          (preds_of preds h)
+      in
       let blocks =
-        LabelMap.mapi
-          (fun l (b : block) ->
-            if VarSet.mem l loop.Loops.body then b
-            else { b with term = retarget_term loop.Loops.header ph b.term })
-          ch.blocks
+        VarSet.fold
+          (fun p blocks ->
+            let b = LabelMap.find p blocks in
+            LabelMap.add p { b with term = retarget_term h ph b.term } blocks)
+          outside ch.blocks
       in
       let blocks = LabelMap.add ph ph_block blocks in
-      let entry =
-        if String.equal ch.entry loop.Loops.header then ph else ch.entry
+      let preds =
+        preds
+        |> LabelMap.add h (VarSet.add ph inside)
+        |> LabelMap.add ph (VarSet.union outside (preds_of preds ph))
       in
-      { entry; blocks }
+      let entry = if String.equal ch.entry h then ph else ch.entry in
+      (used, preds, { entry; blocks })
 
 let transform ~atomics (ch : codeheap) =
   ignore atomics;
-  List.fold_left hoist_loop ch (Loops.find ch)
+  match Loops.find ch with
+  | [] -> ch
+  | loops ->
+      let _, _, ch =
+        List.fold_left hoist_loop
+          (Lang.Cfg.regs_of_codeheap ch, predecessors ch, ch)
+          loops
+      in
+      ch
 
 let pass = Pass.per_function "linv" transform

@@ -534,6 +534,127 @@ let test_dominators () =
   Alcotest.(check (option string)) "idom of entry" None
     (Analysis.Dominator.idom dom "A")
 
+(* Differential check against the set-based algorithm [Dominator] used
+   before: dominator sets iterated to the greatest fixpoint over
+   reverse postorder, the immediate dominator being the strict
+   dominator with the most dominators.  Cubic, so a test oracle only. *)
+module Set_dominator = struct
+  open Ast
+
+  let compute (ch : codeheap) =
+    let rpo = Cfg.reverse_postorder ch in
+    let preds = Cfg.predecessors ch in
+    let all = VarSet.of_list rpo in
+    let dom = Hashtbl.create 16 in
+    Hashtbl.replace dom ch.entry (VarSet.singleton ch.entry);
+    List.iter
+      (fun l -> if not (String.equal l ch.entry) then Hashtbl.replace dom l all)
+      rpo;
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun l ->
+          if not (String.equal l ch.entry) then
+            let ps =
+              match LabelMap.find_opt l preds with
+              | Some ps -> List.filter (fun p -> VarSet.mem p all) ps
+              | None -> []
+            in
+            let meet =
+              List.fold_left
+                (fun acc p ->
+                  let dp = Hashtbl.find dom p in
+                  match acc with
+                  | None -> Some dp
+                  | Some s -> Some (VarSet.inter s dp))
+                None ps
+            in
+            let nd =
+              match meet with
+              | None -> VarSet.singleton l
+              | Some s -> VarSet.add l s
+            in
+            if not (VarSet.equal nd (Hashtbl.find dom l)) then (
+              Hashtbl.replace dom l nd;
+              changed := true))
+        rpo
+    done;
+    dom
+
+  let dominates dom a b =
+    match Hashtbl.find_opt dom b with
+    | Some s -> VarSet.mem a s
+    | None -> true
+
+  let idom dom l =
+    match Hashtbl.find_opt dom l with
+    | None -> None
+    | Some s ->
+        VarSet.fold
+          (fun d acc ->
+            let size = VarSet.cardinal (Hashtbl.find dom d) in
+            match acc with
+            | Some (_, best) when best >= size -> acc
+            | _ -> Some (d, size))
+          (VarSet.remove l s) None
+        |> Option.map fst
+end
+
+(* Seeded random CFGs of 1-24 blocks: random edges give irreducible
+   loops, edges back into the entry and unreachable blocks; some jumps
+   and calls go to labels without a block. *)
+let random_dom_cfg seed =
+  let st = Random.State.make [| 0xd0; seed |] in
+  let n = 1 + Random.State.int st 24 in
+  let target () =
+    if Random.State.int st 10 = 0 then
+      Printf.sprintf "M%d" (Random.State.int st 3)
+    else Printf.sprintf "L%d" (Random.State.int st n)
+  in
+  let term () =
+    match Random.State.int st 8 with
+    | 0 -> Ast.Return
+    | 1 -> Ast.Call ("f", target ())
+    | 2 | 3 | 4 -> Ast.Jmp (target ())
+    | _ -> Ast.Be (Ast.Reg "c", target (), target ())
+  in
+  let blocks =
+    List.init n (fun i -> (Printf.sprintf "L%d" i, Ast.block [] (term ())))
+  in
+  let labels =
+    List.map fst blocks @ [ "M0"; "M1"; "M2"; "nowhere" ]
+  in
+  (Ast.codeheap ~entry:"L0" blocks, labels)
+
+let test_dominators_differential () =
+  let checks = ref 0 in
+  for seed = 0 to 2999 do
+    let ch, labels = random_dom_cfg seed in
+    let fast = Analysis.Dominator.compute ch in
+    let slow = Set_dominator.compute ch in
+    let fail what =
+      Alcotest.failf "seed %d: %s differs on@.%a" seed what
+        (Lang.Pp.pp_codeheap ~name:"t") ch
+    in
+    List.iter
+      (fun b ->
+        incr checks;
+        if Analysis.Dominator.idom fast b <> Set_dominator.idom slow b then
+          fail ("idom " ^ b);
+        List.iter
+          (fun a ->
+            incr checks;
+            if
+              Analysis.Dominator.dominates fast a b
+              <> Set_dominator.dominates slow a b
+            then fail (Printf.sprintf "dominates %s %s" a b))
+          labels)
+      labels
+  done;
+  Alcotest.(check bool) "checked a few hundred thousand facts" true
+    (!checks > 100_000)
+
 let test_loops () =
   let ch = fn (parse loopy) "t" in
   match Analysis.Loops.find ch with
@@ -712,6 +833,8 @@ let () =
       ( "cfg-structures",
         [
           Alcotest.test_case "dominators" `Quick test_dominators;
+          Alcotest.test_case "dominators match the set-based reference"
+            `Quick test_dominators_differential;
           Alcotest.test_case "natural loop" `Quick test_loops;
           Alcotest.test_case "nested loops" `Quick test_nested_loops;
           Alcotest.test_case "no loops" `Quick test_no_loops;

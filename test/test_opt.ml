@@ -383,6 +383,104 @@ let test_linv_invariant_loads_api () =
       Alcotest.(check (list string)) "y is the invariant load" [ "y" ]
         (Opt.Linv.invariant_loads ch outer)
 
+(* Differential check of LInv's incremental hoisting against the
+   rescanning form it replaced: per loop, recompute the heap's
+   registers and retarget every outside block's jumps to the header.
+   The random CFGs have loops headed by labels without a block
+   (reached from unreachable back edges), labels and registers that
+   collide with LInv's fresh names, and edges into the entry. *)
+let rescanning_linv (ch : Ast.codeheap) =
+  let fresh mem base =
+    let rec go i =
+      let c = Printf.sprintf "%s%d" base i in
+      if mem c then go (i + 1) else c
+    in
+    go 0
+  in
+  let hoist (ch : Ast.codeheap) (loop : Analysis.Loops.loop) =
+    match Opt.Linv.invariant_loads ch loop with
+    | [] -> ch
+    | vars ->
+        let used = ref (Cfg.regs_of_codeheap ch) in
+        let loads =
+          List.map
+            (fun x ->
+              let rf = fresh (fun r -> Ast.RegSet.mem r !used) ("linv_" ^ x ^ "_") in
+              used := Ast.RegSet.add rf !used;
+              Ast.Load (rf, x, Lang.Modes.Na))
+            vars
+        in
+        let h = loop.Analysis.Loops.header in
+        let ph = fresh (fun l -> Ast.LabelMap.mem l ch.blocks) ("PH_" ^ h ^ "_") in
+        let rt l = if String.equal l h then ph else l in
+        let retarget : Ast.terminator -> Ast.terminator = function
+          | Jmp l -> Jmp (rt l)
+          | Be (e, l1, l2) -> Be (e, rt l1, rt l2)
+          | Call (f, l) -> Call (f, rt l)
+          | Return -> Return
+        in
+        let blocks =
+          Ast.LabelMap.mapi
+            (fun l (b : Ast.block) ->
+              if Ast.VarSet.mem l loop.Analysis.Loops.body then b
+              else { b with term = retarget b.term })
+            ch.blocks
+        in
+        {
+          Ast.entry = (if String.equal ch.entry h then ph else ch.entry);
+          blocks = Ast.LabelMap.add ph (Ast.block loads (Jmp h)) blocks;
+        }
+  in
+  List.fold_left hoist ch (Analysis.Loops.find ch)
+
+let random_loop_cfg seed =
+  let st = Random.State.make [| 0x11; seed |] in
+  let n = 1 + Random.State.int st 14 in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let target () =
+    match Random.State.int st 12 with
+    | 0 -> pick [ "M0"; "M1" ]
+    | 1 -> pick [ "PH_M0_0"; "PH_M0_1" ]
+    | 2 -> Printf.sprintf "PH_L%d_0" (Random.State.int st n)
+    | _ -> Printf.sprintf "L%d" (Random.State.int st n)
+  in
+  let instr () : Ast.instr =
+    match Random.State.int st 4 with
+    | 0 -> Load ("r", pick [ "x"; "y" ], Lang.Modes.Na)
+    | 1 -> Store ("y", Val 1, Lang.Modes.WNa)
+    | 2 -> Load ("linv_x_0", "x", Lang.Modes.Na)
+    | _ -> Assign ("r", Val 2)
+  in
+  let term () : Ast.terminator =
+    match Random.State.int st 8 with
+    | 0 -> Return
+    | 1 -> Call ("f", target ())
+    | 2 | 3 | 4 -> Jmp (target ())
+    | _ -> Be (Reg "c", target (), target ())
+  in
+  let labels =
+    List.init n (Printf.sprintf "L%d")
+    @ if Random.State.int st 4 = 0 then [ "PH_M0_0"; "PH_L0_0" ] else []
+  in
+  Ast.codeheap ~entry:"L0"
+    (List.map
+       (fun l ->
+         (l, Ast.block (List.init (Random.State.int st 3) (fun _ -> instr ())) (term ())))
+       labels)
+
+let test_linv_matches_rescanning () =
+  let hoisted = ref 0 in
+  for seed = 0 to 19_999 do
+    let ch = random_loop_cfg seed in
+    let want = rescanning_linv ch in
+    if not (Ast.equal_codeheap want ch) then incr hoisted;
+    if not (Ast.equal_codeheap want (Opt.Linv.transform ~atomics:Ast.VarSet.empty ch))
+    then
+      Alcotest.failf "seed %d: LInv differs from the rescanning form on@.%a" seed
+        (Pp.pp_codeheap ~name:"t") ch
+  done;
+  Alcotest.(check bool) "most CFGs hoist something" true (!hoisted > 10_000)
+
 (* ------------------------------------------------------------------ *)
 (* Copy propagation *)
 
@@ -636,6 +734,8 @@ let () =
           Alcotest.test_case "full LICM" `Quick test_licm_full;
           Alcotest.test_case "invariant_loads" `Quick
             test_linv_invariant_loads_api;
+          Alcotest.test_case "linv matches the rescanning form" `Quick
+            test_linv_matches_rescanning;
         ] );
       ( "copyprop",
         [

@@ -3,7 +3,9 @@
    corpus).
 
    - Theorem 4.1: interleaving and non-preemptive behaviour sets
-     coincide.
+     coincide.  Only with enough promises: at the default bound of one
+     promise the non-preemptive machine may miss behaviours (see
+     [thm41] below), so there the check is the inclusion NP ⊆ IL.
    - Lemma 5.1: ww-RF and ww-NPRF agree.
    - Theorem 6.6 (executable form): every optimization pass produces a
      refinement of its source.
@@ -28,10 +30,82 @@ let arbitrary_program =
    lives. *)
 let config = { Explore.Config.default with max_steps = 300 }
 
+(* Theorem 4.1 is stated for unbounded promises.  Under a bound the
+   non-preemptive machine can miss behaviours: capped certification
+   fills the gaps between messages, so with one promise a thread cannot
+   certify a promise of its second write ([Stress.generate] seeds 54
+   and 119).  At the default bound only NP ⊆ IL holds; the sets
+   coincide once every thread may promise each of its writes. *)
+let max_thread_writes (p : program) =
+  FnameMap.fold
+    (fun _ (ch : codeheap) acc ->
+      LabelMap.fold
+        (fun _ (b : block) n ->
+          n
+          + List.length
+              (List.filter
+                 (function Store _ | Cas _ -> true | _ -> false)
+                 b.instrs))
+        ch.blocks 0
+      |> max acc)
+    p.code 0
+
+let both_machines ~config p =
+  ( Explore.Enum.behaviors_exn ~config Explore.Enum.Interleaving p,
+    Explore.Enum.behaviors_exn ~config Explore.Enum.Non_preemptive p )
+
+let np_within_il ~config p =
+  let il, np = both_machines ~config p in
+  Explore.Traceset.is_refined_by ~target:np.Explore.Enum.traces
+    ~source:il.Explore.Enum.traces
+
+(* At the higher bound a rare loop program reaches millions of states,
+   minutes and gigabytes: a state space over [thm41_nodes] discards the
+   case, after the inclusion at the default bound held.  Of 300 loop
+   programs 2 went over (0.4 and 0.7 M states, ~500 MB at 0.7 M); of
+   200 straight-line ones none did (largest 73 k). *)
+let thm41_nodes = 300_000
+
+let thm41 p =
+  np_within_il ~config p
+  &&
+  let config =
+    {
+      config with
+      max_promises = max_thread_writes p;
+      max_nodes = Some thm41_nodes;
+    }
+  in
+  let il, np = both_machines ~config p in
+  let over_budget (o : Explore.Enum.outcome) =
+    match o.completeness with
+    | Truncated reasons -> List.mem Explore.Errors.Node_budget reasons
+    | Exhaustive -> false
+  in
+  QCheck.assume (not (over_budget il || over_budget np));
+  Explore.Traceset.equal_behaviour il.traces np.traces
+
 let test_thm41 =
   QCheck.Test.make ~count:40 ~name:"Theorem 4.1 on random programs"
-    arbitrary_program (fun p ->
-      Explore.Refine.equivalent_disciplines ~config p)
+    arbitrary_program thm41
+
+let test_thm41_bound_regressions () =
+  List.iter
+    (fun seed ->
+      let p = Explore.Stress.generate ~seed in
+      Alcotest.(check int) (Printf.sprintf "seed %d: two writes" seed) 2
+        (max_thread_writes p);
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: unequal at bound 1" seed) false
+        (Explore.Refine.equivalent_disciplines ~config p);
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: NP within IL at bound 1" seed) true
+        (np_within_il ~config p);
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: equal at bound 2" seed) true
+        (Explore.Refine.equivalent_disciplines
+           ~config:{ config with max_promises = 2 } p))
+    [ 54; 119 ]
 
 let test_lemma51 =
   QCheck.Test.make ~count:40 ~name:"Lemma 5.1 on random programs"
@@ -160,8 +234,7 @@ let test_loop_passes_refine =
 
 let test_loop_thm41 =
   QCheck.Test.make ~count:15 ~name:"Theorem 4.1 on random loop programs"
-    arbitrary_loop_program (fun p ->
-      Explore.Refine.equivalent_disciplines ~config p)
+    arbitrary_loop_program thm41
 
 let () =
   Alcotest.run "soundness"
@@ -177,6 +250,10 @@ let () =
             test_passes_idempotent_wf;
             test_witness_completeness;
             test_witness_soundness;
+          ]
+        @ [
+            Alcotest.test_case "Theorem 4.1 needs two promises (seeds 54, 119)"
+              `Quick test_thm41_bound_regressions;
           ] );
       ( "loop-programs",
         List.map QCheck_alcotest.to_alcotest
